@@ -95,29 +95,14 @@ TimePoint Cluster::now() const {
   return clock_;
 }
 
-TimePoint Cluster::next_script_time() const {
-  return scripts_.empty() ? TimePoint::max() : scripts_.front().at;
-}
-
-void Cluster::schedule_script(TimePoint t, std::function<void()> fn) {
+void Cluster::schedule_script(TimePoint t, sim::Callback fn) {
   if (network_->lane_count() == 1) {
     // Single lane: scripts interleave with protocol events on the one queue,
     // exactly like the pre-sharding harness.
     network_->lane_sim(0).schedule_at(t, std::move(fn));
     return;
   }
-  if (t < clock_) t = clock_;
-  scripts_.push_back(Script{t, next_script_seq_++, std::move(fn)});
-  std::push_heap(scripts_.begin(), scripts_.end(), ScriptLater{});
-}
-
-void Cluster::run_due_scripts() {
-  while (!scripts_.empty() && scripts_.front().at <= clock_) {
-    std::pop_heap(scripts_.begin(), scripts_.end(), ScriptLater{});
-    Script s = std::move(scripts_.back());
-    scripts_.pop_back();
-    s.fn();
-  }
+  scripts_.schedule_at(std::max(t, clock_), std::move(fn));
 }
 
 void Cluster::advance_lanes_to(TimePoint t) {

@@ -20,7 +20,6 @@
 // pre-sharding harness.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -112,8 +111,8 @@ class Cluster {
   /// `t` and cross-region traffic due by `t` has been exchanged. Scripts may
   /// touch any member, region or the cluster itself (leave/crash/rejoin,
   /// injections, sampling) — the barrier guarantees no lane is running.
-  void schedule_script(TimePoint t, std::function<void()> fn);
-  void schedule_script_after(Duration d, std::function<void()> fn) {
+  void schedule_script(TimePoint t, sim::Callback fn);
+  void schedule_script_after(Duration d, sim::Callback fn) {
     schedule_script(now() + d, std::move(fn));
   }
 
@@ -203,18 +202,6 @@ class Cluster {
   std::size_t total_buffered() const;
 
  private:
-  struct Script {
-    TimePoint at;
-    std::uint64_t seq;  // FIFO among same-time scripts
-    std::function<void()> fn;
-  };
-  struct ScriptLater {
-    bool operator()(const Script& a, const Script& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   void spawn_member(MemberId m);
   /// Tell every alive endpoint the view changed (leave/crash/rejoin), so
   /// flow-control credit state reconciles at churn time, not at the next
@@ -226,8 +213,8 @@ class Cluster {
   /// Advance every lane to `t` (worker pool), exchange cross-region traffic,
   /// and settle arrivals landing exactly at `t`.
   void advance_lanes_to(TimePoint t);
-  void run_due_scripts();
-  TimePoint next_script_time() const;
+  void run_due_scripts() { scripts_.run_until(clock_); }
+  TimePoint next_script_time() { return scripts_.next_event_time(); }
 
   ClusterConfig config_;
   net::Topology topology_;
@@ -249,8 +236,9 @@ class Cluster {
   std::vector<SimHost*> hosts_;
   std::vector<Endpoint*> endpoints_;
   std::vector<bool> removed_;
-  std::vector<Script> scripts_;  // min-heap via ScriptLater
-  std::uint64_t next_script_seq_ = 1;
+  // Multi-lane scripts, fired in (time, scheduling order) at barriers; its
+  // clock follows clock_.
+  sim::Simulator scripts_;
   TimePoint clock_;  // last barrier every lane has reached
   // Fault injection: the master link-loss table (lanes hold clones) and the
   // connectivity generation bumped at every partition()/heal().

@@ -825,19 +825,23 @@ void Endpoint::remote_attempt(const MessageId& id) {
     return;
   }
   const membership::RegionView& parent = host_.parent_view();
-  if (parent.empty()) return;  // root region: no remote phase (§2.2)
+  // The root region has no parent to ask (§2.2). When the sender lives in
+  // another region, a message every root member missed can only come from
+  // the sender itself — the same last resort as the repair-tree root above.
+  const bool ask_source = parent.empty();
+  if (ask_source && host_.local_view().contains(id.source)) return;
   if (cfg_.max_attempts != 0 && task.remote_attempts >= cfg_.max_attempts) {
     return;
   }
   ++task.remote_attempts;
-  MemberId r = parent.pick_random(host_.rng());
+  MemberId r = ask_source ? id.source : parent.pick_random(host_.rng());
   if (r == kInvalidMember) return;
   // Send with probability lambda/n so that, region-wide, the expected number
   // of remote requests per recovery round is lambda (§2.2). The retry timer
   // is armed whether or not a request was actually sent.
   std::size_t n = std::max<std::size_t>(host_.local_view().size(), 1);
   if (host_.rng().bernoulli(cfg_.lambda / static_cast<double>(n))) {
-    if (cfg_.lookup == BuffererLookup::kHashDirect) {
+    if (!ask_source && cfg_.lookup == BuffererLookup::kHashDirect) {
       const std::vector<MemberId>& set =
           selector_.select(id, parent.members(), cfg_.hash_k);
       if (!set.empty()) r = set[task.remote_attempts % set.size()];

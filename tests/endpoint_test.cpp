@@ -101,6 +101,21 @@ TEST(EndpointRecovery, NoRemotePhaseInRootRegion) {
   EXPECT_EQ(cluster.metrics().counters().remote_requests_sent, 0u);
 }
 
+TEST(EndpointRecovery, RootRegionAsksChildRegionSenderWhenAllMissed) {
+  // The sender lives in region 1 and its Data frame reaches none of the root
+  // region: with no parent region to ask, root members must fall back to the
+  // sender itself or the message is lost to the whole root for good.
+  ClusterConfig cc;
+  cc.region_sizes = {5, 5};
+  cc.seed = 21;
+  Cluster cluster(cc);
+  std::vector<MemberId> child = cluster.region_members(1);
+  MessageId id = cluster.inject(child[0], 1, child);
+  cluster.run_until_quiet(Duration::seconds(3));
+  EXPECT_TRUE(cluster.all_received(id));
+  EXPECT_GE(cluster.metrics().counters().remote_requests_sent, 1u);
+}
+
 TEST(EndpointRecovery, LambdaZeroSendsNoRemoteRequests) {
   ClusterConfig cc;
   cc.region_sizes = {5, 5};

@@ -64,6 +64,56 @@ TEST(UdpBusTest, CancelledTimerNeverFires) {
   EXPECT_FALSE(fired);
 }
 
+TEST(UdpBusTest, SameDeadlineTimersFireInSchedulingOrder) {
+  auto bus = try_bus(1, 39660);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) {
+    bus->schedule_after(Duration::millis(5), [&order, i] { order.push_back(i); });
+  }
+  bus->run_until(bus->now() + Duration::millis(50));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(UdpBusTest, CancelAfterFireAndDoubleCancelAreNoOps) {
+  auto bus = try_bus(1, 39670);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  int first = 0;
+  std::uint64_t fired_id =
+      bus->schedule_after(Duration::millis(1), [&] { ++first; });
+  bus->run_until(bus->now() + Duration::millis(20));
+  ASSERT_EQ(first, 1);
+  // A timer armed after the first one fired may reuse its queue slot; the
+  // stale id must not reach it.
+  int second = 0;
+  std::uint64_t live_id =
+      bus->schedule_after(Duration::millis(1), [&] { ++second; });
+  EXPECT_NE(live_id, fired_id);
+  bus->cancel(fired_id);
+  bus->cancel(fired_id);
+  int third = 0;
+  std::uint64_t cancelled_id =
+      bus->schedule_after(Duration::millis(1), [&] { ++third; });
+  bus->cancel(cancelled_id);
+  bus->cancel(cancelled_id);
+  bus->run_until(bus->now() + Duration::millis(20));
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(third, 0);
+}
+
+TEST(UdpBusTest, CancelledTimerDoesNotWakeTheLoopEarly) {
+  auto bus = try_bus(1, 39680);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  bool fired = false;
+  bus->cancel(bus->schedule_after(Duration::millis(5), [&] { fired = true; }));
+  bus->run_until(bus->now() + Duration::millis(30));
+  EXPECT_FALSE(fired);
+  // Idle run: one poll() that sleeps straight to the deadline, not one that
+  // wakes for the cancelled timer and a second for the rest.
+  EXPECT_EQ(bus->poll_syscalls(), 1u);
+}
+
 TEST(UdpBusTest, DelayFnPostponesDatagrams) {
   auto bus = try_bus(2, 39530);
   if (!bus) GTEST_SKIP() << "UDP sockets unavailable";

@@ -2,7 +2,11 @@
 // Skipped gracefully if the environment forbids binding UDP sockets.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "harness/udp_runtime.h"
+#include "proto/codec.h"
 
 namespace rrmp::harness {
 namespace {
@@ -138,13 +142,52 @@ TEST(UdpRuntime, StraySocketDataIsIgnored) {
   net::Topology topo = fast_topology({3});
   auto rt = try_make(topo, fast_config(38500, 5));
   if (!rt) GTEST_SKIP() << "UDP sockets unavailable";
-  // Throw garbage at member 0's socket from member 1's address: the decode
-  // layer must reject it without disturbing the protocol.
+  // Every delivery, per member and message id, with its payload.
+  using Payloads = std::vector<std::vector<std::uint8_t>>;
+  std::map<std::pair<MemberId, MessageId>, Payloads> delivered;
+  for (MemberId m = 0; m < rt->size(); ++m) {
+    rt->endpoint(m).set_delivery_handler([&delivered, m](const proto::Data& d) {
+      delivered[{m, d.id}].emplace_back(d.payload.data(),
+                                        d.payload.data() + d.payload.size());
+    });
+  }
+  // Throw hostile datagrams at the members' sockets from member ports: the
+  // bus and decode layers must reject them without disturbing the protocol.
   rt->bus().send(1, 0, {0xFF, 0x00, 0xAA});
   rt->bus().send(1, 0, {});
+  rt->bus().send(2, 0, {0xEE, 0x01, 0x02, 0x03});  // unknown tag
+  // A truncated frame for the id member 0 is about to use.
+  std::vector<std::uint8_t> truncated = proto::encode(proto::Message{
+      proto::Data{MessageId{0, 1}, std::vector<std::uint8_t>(32, 0x5A)}});
+  truncated.resize(truncated.size() / 2);
+  rt->bus().send(1, 2, truncated);
+  // Larger than a receive-ring segment: dropped by the bus, never decoded.
+  const MessageId oversized_id{1, 1};
+  std::vector<std::uint8_t> oversized = proto::encode(proto::Message{
+      proto::Data{oversized_id, std::vector<std::uint8_t>(3000, 0x77)}});
+  ASSERT_GT(oversized.size(), net::UdpBusConfig{}.segment_size);
+  rt->bus().send(2, 1, oversized);
+
   MessageId id = rt->endpoint(0).multicast({9});
   rt->run_for(Duration::millis(300));
   EXPECT_TRUE(rt->all_received(id));
+  EXPECT_EQ(rt->count_received(oversized_id), 0u);
+
+  // Replay the delivered frame at every member, then send a second message.
+  std::vector<std::uint8_t> replay =
+      proto::encode(proto::Message{proto::Data{id, {9}}});
+  for (MemberId to = 0; to < rt->size(); ++to) {
+    rt->bus().send(to == 1 ? 2 : 1, to, replay);
+  }
+  MessageId id2 = rt->endpoint(0).multicast({10});
+  rt->run_for(Duration::millis(300));
+  EXPECT_TRUE(rt->all_received(id2));
+  for (MemberId m = 0; m < rt->size(); ++m) {
+    EXPECT_EQ(delivered[std::make_pair(m, id)], Payloads{{9}}) << "member " << m;
+    EXPECT_EQ(delivered[std::make_pair(m, id2)], Payloads{{10}})
+        << "member " << m;
+  }
+  EXPECT_EQ(delivered.size(), 2 * rt->size());
 }
 
 }  // namespace
